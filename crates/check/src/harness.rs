@@ -46,6 +46,9 @@ pub struct SoloRun {
     pub mean_qdelay: SimDuration,
     /// Base RTT of the flow's path (before the engine's path jitter).
     pub base_rtt: SimDuration,
+    /// Simulator events the run processed. Exact and seed-deterministic:
+    /// a change that makes events cheaper must leave it alone.
+    pub sim_events: u64,
 }
 
 /// A pairwise CCA run: means and max-min-fair shares for both flows.
@@ -138,6 +141,7 @@ pub fn run_solo(
         utilization: mean_bps / effective,
         mean_qdelay: engine.trace().mean_queueing_delay(svc),
         base_rtt: setting.base_rtt,
+        sim_events: engine.events_processed(),
     }
 }
 

@@ -191,6 +191,9 @@ pub struct Engine {
     next_flow: u32,
     started: bool,
     events_processed: u64,
+    /// Deliveries and timers addressed to an endpoint id that does not
+    /// exist (see [`Engine::dropped_dispatches`]).
+    dropped_dispatches: u64,
     /// Total queue occupancy (packets) at every sampling point. A private
     /// histogram — no locks in the event loop; higher layers merge it into
     /// a registry once per trial. Recording reads only `queue.len()`, so
@@ -247,6 +250,7 @@ impl Engine {
             next_flow: 0,
             started: false,
             events_processed: 0,
+            dropped_dispatches: 0,
             queue_depth: Histogram::new(),
             invariants,
         }
@@ -405,6 +409,16 @@ impl Engine {
         )
     }
 
+    /// Packets and timers that were popped but could not be handed to an
+    /// endpoint because their destination id names no endpoint. Endpoints
+    /// are never removed and dispatch is not re-entrant, so anything but 0
+    /// is a wiring bug (a flow built against the wrong endpoint id) that
+    /// silently starves that flow; the [`InvariantGuard`] fails the trial
+    /// on the first one.
+    pub fn dropped_dispatches(&self) -> u64 {
+        self.dropped_dispatches
+    }
+
     /// Distribution of total bottleneck queue occupancy (in packets),
     /// sampled at every enqueue and transmit completion.
     pub fn queue_depth_histogram(&self) -> &Histogram {
@@ -476,9 +490,12 @@ impl Engine {
 
     fn dispatch_to_endpoint(&mut self, id: EndpointId, action: DispatchAction) {
         let idx = id.0 as usize;
-        let mut ep = match self.endpoints.get_mut(idx).and_then(Option::take) {
-            Some(ep) => ep,
-            None => return, // endpoint removed or re-entrant dispatch; drop silently
+        let Some(mut ep) = self.endpoints.get_mut(idx).and_then(Option::take) else {
+            self.dropped_dispatches += 1;
+            if let Some(g) = self.invariants.as_ref() {
+                g.dispatch_dropped(id, self.endpoints.len());
+            }
+            return;
         };
         {
             let mut ctx = Ctx {
@@ -766,6 +783,40 @@ mod tests {
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));
+    }
+
+    /// One packet blasted at an endpoint id nobody registered.
+    fn miswired() -> Engine {
+        let (mut eng, _acks, flow) = build(0, 8_000_000.0, 64);
+        eng.add_endpoint(Box::new(BlastSender {
+            flow,
+            service: ServiceId(0),
+            dst: EndpointId(7),
+            n: 1,
+            acks: Rc::new(RefCell::new(Vec::new())),
+        }));
+        eng
+    }
+
+    #[test]
+    fn dispatch_to_a_missing_endpoint_is_counted() {
+        let mut eng = miswired();
+        eng.invariants = None; // the release-build default
+        eng.run_until(SimTime::from_secs(2));
+        assert_eq!(eng.dropped_dispatches(), 1);
+        // A correctly wired run never drops one.
+        let (mut ok, acks, _) = build(10, 8_000_000.0, 64);
+        ok.run_until(SimTime::from_secs(2));
+        assert_eq!(acks.borrow().len(), 10);
+        assert_eq!(ok.dropped_dispatches(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dropped dispatch: an event was addressed to EndpointId(7)")]
+    fn dispatch_to_a_missing_endpoint_fails_the_guard() {
+        let mut eng = miswired();
+        eng.enable_invariants();
+        eng.run_until(SimTime::from_secs(2));
     }
 
     #[test]

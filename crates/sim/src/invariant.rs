@@ -13,7 +13,10 @@
 //!   including disciplines that drop internally at dequeue (CoDel head
 //!   drops);
 //! * **per-service conservation** — the per-service arrival/drop ledgers
-//!   (which feed the loss-rate heatmap) sum to the same totals.
+//!   (which feed the loss-rate heatmap) sum to the same totals;
+//! * **no dropped dispatch** — every delivered packet and fired timer
+//!   finds the endpoint it is addressed to (release builds without the
+//!   guard count them in `Engine::dropped_dispatches` instead).
 //!
 //! A violation panics with the trial's [`ScenarioSpec`] JSON and seed, so
 //! any failure reproduces with a one-command rerun of that scenario+seed.
@@ -33,6 +36,7 @@
 //!   this is what `prudentia --validate` uses in release builds.
 
 use crate::aqm::QueueDiscipline;
+use crate::packet::EndpointId;
 use crate::scenario::ScenarioSpec;
 use crate::time::SimTime;
 use std::sync::OnceLock;
@@ -112,6 +116,15 @@ impl InvariantGuard {
                 event_at, now
             ));
         }
+    }
+
+    /// Called when a packet or timer is addressed to `id` but the engine
+    /// has no endpoint to hand it to. Endpoints are never removed and
+    /// dispatch is not re-entrant, so this is always a violation.
+    pub(crate) fn dispatch_dropped(&self, id: EndpointId, endpoints: usize) -> ! {
+        self.violated(&format!(
+            "dropped dispatch: an event was addressed to {id:?} but the engine has {endpoints} endpoints"
+        ));
     }
 
     /// Bottleneck audit, called once per event: occupancy bound and packet

@@ -10,7 +10,7 @@ use crate::packet::{EndpointId, FlowId, Packet, PacketArena, ServiceId};
 use crate::queue::{pow2_round, DropTailQueue, EnqueueResult};
 use crate::scenario::{ImpairmentSpec, RateStep, ScenarioSpec};
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
+use crate::wheel::{TimingWheel, HORIZON_TICKS, SLOT_BITS, TICK_SHIFT};
 use proptest::prelude::*;
 
 /// The four disciplines, for invariant tests that must hold for all.
@@ -174,6 +174,13 @@ proptest! {
     }
 }
 
+/// Nanoseconds per wheel tick, slots per level and the wheel horizon in
+/// nanoseconds: the delay ranges below aim at these boundaries, so they
+/// follow the wheel's constants instead of repeating them.
+const TICK_NS: u64 = 1 << TICK_SHIFT;
+const SLOTS: u64 = 1 << SLOT_BITS;
+const HORIZON_NS: u64 = HORIZON_TICKS << TICK_SHIFT;
+
 proptest! {
     #[test]
     fn event_queue_pops_in_nondecreasing_time_order(
@@ -222,11 +229,12 @@ proptest! {
             (
                 0u8..5, // 0 = pop, 1..4 = schedule
                 prop_oneof![
-                    Just(0u64),                      // same instant (FIFO)
-                    0u64..4096,                      // inside one tick
-                    4096u64 * 62..4096 * 66,         // level-0 → level-1 boundary
-                    (4096u64 << 6) - 9000..(4096 << 6) + 9000, // level-1 → 2
-                    0u64..(1u64 << 41),              // far future, incl. overflow
+                    Just(0u64),                                // same instant (FIFO)
+                    0u64..TICK_NS,                             // inside one tick
+                    TICK_NS * (SLOTS - 2)..TICK_NS * (SLOTS + 2), // level-0 → 1 boundary
+                    TICK_NS * (SLOTS * SLOTS - 2)..TICK_NS * (SLOTS * SLOTS + 2), // 1 → 2
+                    0u64..HORIZON_NS / SLOTS,                  // every wheel level
+                    HORIZON_NS - 2 * TICK_NS..HORIZON_NS * 3,  // across the horizon: overflow heap
                 ],
             ),
             1..400,

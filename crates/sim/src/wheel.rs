@@ -2,15 +2,47 @@
 //!
 //! # Layout
 //!
-//! Simulation time is quantized into 4096 ns ticks (`TICK_SHIFT = 12`
-//! bits — well under a single packet's serialization time at any rate
-//! the testbed models, so quantization never merges distinct
-//! transmissions' ordering concerns; full `(at, seq)` order is restored
-//! inside each tick batch anyway). Ticks feed a six-level wheel of 64
-//! slots per level: level `l` spans `64^l` ticks per slot, so the wheel
-//! covers `64^6` ticks ≈ 78 hours of simulated time. Anything further
-//! out (none of our workloads ever are) falls back to a small overflow
-//! binary heap, the classic calendar-queue escape hatch.
+//! Simulation time is quantized into 2¹⁸ ns ≈ 262 µs ticks
+//! (`TICK_SHIFT`). A tick is *not* small against the events it
+//! holds — it is about one 1500-byte serialization at 50 Mbps — and
+//! does not need to be: a tick's events are drained as one batch in
+//! which the full `(at, seq)` order is restored (sorted on load, sorted
+//! insert afterwards), so the tick length decides only how much work an
+//! event costs on its way to its batch, never the order events pop in.
+//! Ticks feed a six-level wheel of 64 slots per level: level `l` spans
+//! `64^l` ticks per slot, so the wheel covers `64^6` ticks ≈ 208 days of
+//! simulated time. Anything further out (none of our workloads ever
+//! are) falls back to a small overflow binary heap, the classic
+//! calendar-queue escape hatch.
+//!
+//! ## Why 2¹⁸ ns
+//!
+//! An event scheduled on level `l` is re-inserted `l` times (one
+//! cascade per level) before it reaches a batch, and the re-inserts are
+//! most of what the calendar costs per event. The tick is therefore
+//! chosen so the testbed's recurring delays sit as low as possible.
+//! Starting from tick 0 (the level is `ilog2(delay in ticks) / 6`):
+//!
+//! | recurring delay | at 2¹² ns (before) | at 2¹⁸ ns (now) |
+//! |---|---|---|
+//! | 1500 B serialization, 50 Mbps (240 µs) | 58 ticks, level 0 | 0–1 ticks, current batch or level 0 |
+//! | 1500 B serialization, 8 Mbps (1.5 ms) | 366 ticks, level 1 | 5 ticks, level 0 |
+//! | sender poll (10 ms) | 2,441 ticks, level 1 | 38 ticks, level 0 |
+//! | one-way path leg (25 ms; two per packet) | 6,103 ticks, level 2 | 95 ticks, level 1 |
+//! | minimum RTO, re-armed per ACK (200 ms) | 48,828 ticks, level 2 | 762 ticks, level 1 |
+//! | initial RTO (1 s) | 244,140 ticks, level 2 | 3,814 ticks, level 1 |
+//!
+//! Three of a bulk packet's five events (both 25 ms `Deliver` legs and
+//! the RTO timer) drop from two cascades to one. Level selection is
+//! XOR-based (see `TimingWheel::insert`), so "from tick 0" is the
+//! common case, not a guarantee: a delay of `d` ticks that fits level
+//! `l` still lands one level higher whenever the start tick is within
+//! `d` of the end of its `64^(l+1)`-tick block — about 2 % of start
+//! ticks for the 25 ms leg and 19 % for the 200 ms RTO at this tick
+//! length (and 59 % for the 10 ms poll, which then takes level 1).
+//! 2¹⁶ ns keeps 25 ms on level 1 too but sends three quarters of the
+//! 200 ms timers to level 2; measured end to end it was the slower of
+//! the two (EXPERIMENTS.md, "Cheaper events").
 //!
 //! Per-level occupancy bitmaps (`u64`, one bit per slot) make "find the
 //! next non-empty slot at or after the current position" a
@@ -47,20 +79,28 @@ use crate::event::{Event, Scheduled};
 use crate::time::SimTime;
 use std::collections::BinaryHeap;
 
-/// log2 of the tick length in nanoseconds: 4096 ns per tick.
-const TICK_SHIFT: u32 = 12;
+/// log2 of the tick length in nanoseconds: 262,144 ns per tick (see
+/// "Why 2¹⁸ ns" in the module docs).
+pub(crate) const TICK_SHIFT: u32 = 18;
 /// log2 of the slots per level.
-const SLOT_BITS: u32 = 6;
+pub(crate) const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of wheel levels. Level `l` spans `64^(l+1)` ticks total.
 const LEVELS: usize = 6;
 /// Tick deltas at or beyond this go to the overflow heap.
-const HORIZON_TICKS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+pub(crate) const HORIZON_TICKS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
 #[inline]
 fn tick_of(at: SimTime) -> u64 {
     at.as_nanos() >> TICK_SHIFT
+}
+
+/// The level an event is filed on, from `diff = tick ^ now_tick`
+/// (non-zero): the highest differing bit, `SLOT_BITS` bits per level.
+#[inline]
+fn level_of(diff: u64) -> usize {
+    (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
 }
 
 /// Hierarchical timing wheel with a calendar-queue overflow fallback.
@@ -151,7 +191,7 @@ impl TimingWheel {
             self.overflow.push(s);
             return;
         }
-        let level = (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize;
+        let level = level_of(diff);
         let slot = ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.slots[level * SLOTS + slot].push(s);
         self.occupancy[level] |= 1 << slot;
@@ -300,8 +340,9 @@ mod tests {
 
     #[test]
     fn sub_tick_times_order_within_batch() {
-        // All inside tick 0 (< 4096 ns) but distinct times: the batch
-        // sort must order by time, then seq.
+        // All inside tick 0 (< one tick of nanoseconds) but distinct
+        // times: the batch sort must order by time, then seq.
+        const _: () = assert!(30 < 1u64 << TICK_SHIFT);
         let mut w = TimingWheel::new();
         w.schedule(SimTime::from_nanos(30), timer(2));
         w.schedule(SimTime::from_nanos(10), timer(0));
@@ -309,6 +350,32 @@ mod tests {
         w.schedule(SimTime::from_nanos(20), timer(1));
         let got: Vec<u64> = tokens(&mut w).into_iter().map(|(_, t)| t).collect();
         assert_eq!(got, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn testbed_delays_select_level_one_from_tick_zero() {
+        // The reason for TICK_SHIFT: the 25 ms path legs and the 200 ms
+        // minimum RTO, which three of a bulk packet's five events carry,
+        // cost one cascade instead of the two they cost on level 2.
+        for ms in [25, 200] {
+            assert_eq!(level_of(tick_of(SimTime::from_millis(ms))), 1, "{ms} ms");
+        }
+        // Not a guarantee for every start tick: leveling is by XOR, so a
+        // start close enough to the end of a level-1 block still crosses
+        // into level 2.
+        let block = 1u64 << (2 * SLOT_BITS);
+        let at = SimTime::from_nanos(((block - 1) << TICK_SHIFT) + 25_000_000);
+        assert_eq!(level_of(tick_of(at) ^ (block - 1)), 2);
+
+        // And the wheel agrees with the formula: one event on level 1,
+        // nothing else occupied.
+        let mut w = TimingWheel::new();
+        w.schedule(SimTime::from_millis(25), timer(0));
+        assert_eq!(
+            w.occupancy.map(|o| o.count_ones()),
+            [0, 1, 0, 0, 0, 0],
+            "a 25 ms delay from tick 0 must be filed on level 1"
+        );
     }
 
     #[test]

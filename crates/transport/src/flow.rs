@@ -16,7 +16,7 @@ use prudentia_sim::{
     SimTime,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 /// Factory producing a fresh congestion controller, used by flows that
@@ -90,15 +90,91 @@ impl DeliverySink for NullSink {
     fn on_receive(&mut self, _: SimTime, _: FlowId, _: u64, _: u64, _: bool) {}
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SentInfo {
-    data_seq: u64,
-    size: u32,
-    sent_at: SimTime,
-    delivered_at_send: u64,
-    delivered_time_at_send: SimTime,
-    app_limited: bool,
-    retransmitted: bool,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SentInfo {
+    pub(crate) data_seq: u64,
+    pub(crate) size: u32,
+    pub(crate) sent_at: SimTime,
+    pub(crate) delivered_at_send: u64,
+    pub(crate) delivered_time_at_send: SimTime,
+    pub(crate) app_limited: bool,
+    pub(crate) retransmitted: bool,
+}
+
+/// Outstanding transmissions, indexed by transmission number.
+///
+/// Transmission numbers are dense and monotone (the ring issues them
+/// itself in [`SentRing::push`]), so slot `i` holds transmission
+/// `base + i` and every operation is an index: no search, no
+/// rebalancing, and no allocation once the deque has grown to the
+/// flow's window. An acknowledged or lost transmission leaves a `None`
+/// tombstone that is popped as soon as it reaches the front, so the
+/// front slot is always live and "empty" means "no slots".
+///
+/// Draining from the front yields transmissions in ascending number ==
+/// send order, exactly the key order of the `BTreeMap<u64, SentInfo>`
+/// this replaced (the transport proptests drive both side by side).
+/// Because the sender drains everything at or below `highest_acked −
+/// REORDER_THRESHOLD` after every ACK, tombstones only ever sit among
+/// the `REORDER_THRESHOLD` numbers ending at `highest_acked`, behind a
+/// live front slot: the ring holds fewer than `outstanding +
+/// REORDER_THRESHOLD` slots.
+#[derive(Debug, Default)]
+pub(crate) struct SentRing {
+    /// Transmission number of `slots[0]`; when the ring is empty, the
+    /// number the next `push` will issue.
+    base: u64,
+    slots: VecDeque<Option<SentInfo>>,
+}
+
+impl SentRing {
+    /// Record a new transmission; returns the number issued to it.
+    pub(crate) fn push(&mut self, info: SentInfo) -> u64 {
+        let tx_seq = self.base + self.slots.len() as u64;
+        self.slots.push_back(Some(info));
+        tx_seq
+    }
+
+    /// No transmission is outstanding.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Slots held, tombstones included (the memory bound's subject).
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Take transmission `tx_seq` out, if it is still outstanding.
+    pub(crate) fn remove(&mut self, tx_seq: u64) -> Option<SentInfo> {
+        let idx = usize::try_from(tx_seq.checked_sub(self.base)?).ok()?;
+        let info = self.slots.get_mut(idx)?.take()?;
+        if idx == 0 {
+            self.trim_front();
+        }
+        Some(info)
+    }
+
+    /// Take the oldest outstanding transmission if its number is at or
+    /// below `horizon`. Repeated calls drain in ascending order.
+    pub(crate) fn pop_front_through(&mut self, horizon: u64) -> Option<SentInfo> {
+        if self.base > horizon {
+            return None;
+        }
+        let info = self.slots.front_mut()?.take();
+        debug_assert!(info.is_some(), "front slot of the sent ring is a tombstone");
+        self.trim_front();
+        info
+    }
+
+    /// Pop tombstones until the front slot is live again (or none remain).
+    fn trim_front(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
 }
 
 /// The sending half of a flow.
@@ -111,12 +187,10 @@ pub struct Sender {
     mss: u32,
     /// Next application data sequence.
     next_data_seq: u64,
-    /// Next transmission number (every send, including retransmissions,
-    /// consumes one — QUIC-style, so loss detection is per transmission).
-    next_tx_seq: u64,
-    /// Outstanding transmissions, keyed by transmission number (ascending
-    /// key order == send order).
-    sent: BTreeMap<u64, SentInfo>,
+    /// Outstanding transmissions by transmission number (every send,
+    /// including retransmissions, consumes one — QUIC-style, so loss
+    /// detection is per transmission; ascending number == send order).
+    sent: SentRing,
     /// Data segments awaiting retransmission: (data_seq, size).
     rtx_queue: VecDeque<(u64, u32)>,
     inflight_bytes: u64,
@@ -161,8 +235,7 @@ impl Sender {
                 source,
                 mss: prudentia_cc::MSS as u32,
                 next_data_seq: 0,
-                next_tx_seq: 0,
-                sent: BTreeMap::new(),
+                sent: SentRing::default(),
                 rtx_queue: VecDeque::new(),
                 inflight_bytes: 0,
                 delivered: 0,
@@ -287,9 +360,7 @@ impl Sender {
         // A transmission is lost once three later transmissions were acked.
         let horizon = high - REORDER_THRESHOLD;
         let mut newly_lost = 0u64;
-        let to_mark: Vec<u64> = self.sent.range(..=horizon).map(|(&t, _)| t).collect();
-        for tx in to_mark {
-            let info = self.sent.remove(&tx).expect("marked tx vanished");
+        while let Some(info) = self.sent.pop_front_through(horizon) {
             self.check_release(info.size, "reorder loss");
             self.inflight_bytes = self.inflight_bytes.saturating_sub(info.size as u64);
             newly_lost += info.size as u64;
@@ -316,9 +387,7 @@ impl Sender {
         self.rto_backoff += 1;
         let inflight_before = self.inflight_bytes;
         // Declare every outstanding transmission lost and rebuild.
-        let txs: Vec<u64> = self.sent.keys().copied().collect();
-        for tx in txs {
-            let info = self.sent.remove(&tx).expect("rto tx vanished");
+        while let Some(info) = self.sent.pop_front_through(u64::MAX) {
             self.check_release(info.size, "RTO loss");
             self.inflight_bytes = self.inflight_bytes.saturating_sub(info.size as u64);
             self.rtx_queue.push_back((info.data_seq, info.size));
@@ -336,7 +405,7 @@ impl Sender {
 
     fn handle_ack(&mut self, tx_seq: u64, ce_echo: bool, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let Some(info) = self.sent.remove(&tx_seq) else {
+        let Some(info) = self.sent.remove(tx_seq) else {
             // ACK for a transmission already presumed lost (its data was
             // retransmitted) or already acknowledged: ignore.
             return;
@@ -418,8 +487,15 @@ impl Sender {
         now: SimTime,
         ctx: &mut Ctx<'_>,
     ) {
-        let tx_seq = self.next_tx_seq;
-        self.next_tx_seq += 1;
+        let tx_seq = self.sent.push(SentInfo {
+            data_seq,
+            size,
+            sent_at: now,
+            delivered_at_send: self.delivered,
+            delivered_time_at_send: now,
+            app_limited: self.app_limited,
+            retransmitted: retransmit,
+        });
         let mut pkt = Packet::data(self.flow, self.service, self.receiver, tx_seq, size);
         pkt.data_seq = data_seq;
         pkt.delivered_at_send = self.delivered;
@@ -431,18 +507,6 @@ impl Sender {
             EcnMode::Classic => EcnCodepoint::Ect0,
             EcnMode::L4s => EcnCodepoint::Ect1,
         };
-        self.sent.insert(
-            tx_seq,
-            SentInfo {
-                data_seq,
-                size,
-                sent_at: now,
-                delivered_at_send: self.delivered,
-                delivered_time_at_send: now,
-                app_limited: self.app_limited,
-                retransmitted: retransmit,
-            },
-        );
         self.inflight_bytes += size as u64;
         {
             let mut st = self.stats.borrow_mut();
@@ -659,6 +723,103 @@ impl Endpoint for Receiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::FiniteSource;
+    use prudentia_cc::CcaKind;
+    use prudentia_sim::{BottleneckConfig, Engine, PathSpec};
+
+    /// What [`AuditedSender`] saw of its sender's ring, shared with the test.
+    #[derive(Debug, Default)]
+    struct RingAudit {
+        callbacks: u64,
+        max_slots: usize,
+        /// Largest `slots − outstanding` seen after any callback.
+        max_tombstones: usize,
+        final_slots: usize,
+        final_inflight: u64,
+    }
+
+    /// A sender whose ring is audited after every engine callback.
+    struct AuditedSender {
+        inner: Sender,
+        audit: Rc<RefCell<RingAudit>>,
+    }
+
+    impl AuditedSender {
+        fn record(&self) {
+            let ring = &self.inner.sent;
+            let outstanding = ring.slots.iter().flatten().count();
+            let mut a = self.audit.borrow_mut();
+            a.callbacks += 1;
+            a.max_slots = a.max_slots.max(ring.slots());
+            a.max_tombstones = a.max_tombstones.max(ring.slots() - outstanding);
+            a.final_slots = ring.slots();
+            a.final_inflight = self.inner.inflight_bytes;
+            assert_eq!(ring.is_empty(), outstanding == 0);
+        }
+    }
+
+    impl Endpoint for AuditedSender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.inner.on_start(ctx);
+            self.record();
+        }
+        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+            self.inner.on_packet(pkt, ctx);
+            self.record();
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            self.inner.on_timer(token, ctx);
+            self.record();
+        }
+    }
+
+    #[test]
+    fn sent_ring_stays_within_outstanding_plus_reorder_threshold() {
+        // A tiny queue plus upstream loss: reorder losses, RTOs and ACKs
+        // for transmissions already written off all occur.
+        let mut eng = Engine::new(
+            BottleneckConfig {
+                rate_bps: 5e6,
+                queue_capacity_pkts: 8,
+            },
+            10,
+        );
+        eng.set_external_loss(0.03);
+        let flow = eng.register_flow_jittered(PathSpec::symmetric(SimDuration::from_millis(50)));
+        let receiver_id = eng.next_endpoint_id();
+        let sender_id = EndpointId(receiver_id.0 + 1);
+        let (receiver, recv) = Receiver::new(sender_id, Box::new(NullSink));
+        eng.add_endpoint(Box::new(receiver));
+        let (inner, stats) = Sender::new(
+            flow,
+            ServiceId(0),
+            receiver_id,
+            CcaKind::NewReno.build(SimTime::ZERO),
+            Box::new(FiniteSource::new(1_500_000)),
+        );
+        let audit = Rc::new(RefCell::new(RingAudit::default()));
+        eng.add_endpoint(Box::new(AuditedSender {
+            inner,
+            audit: Rc::clone(&audit),
+        }));
+        eng.run_until(SimTime::from_secs(120));
+
+        let a = audit.borrow();
+        let st = stats.borrow();
+        assert_eq!(recv.borrow().unique_bytes, 1_500_000, "transfer completes");
+        assert!(
+            st.losses_marked > 0 && st.rtos > 0,
+            "test must see both loss paths: {st:?}"
+        );
+        assert!(a.callbacks > 1000 && a.max_slots > 8, "{a:?}");
+        assert!(
+            (a.max_tombstones as u64) < REORDER_THRESHOLD,
+            "ring held {} tombstones; the bound is below REORDER_THRESHOLD",
+            a.max_tombstones
+        );
+        assert_eq!(a.final_slots, 0, "ring must end empty");
+        assert_eq!(a.final_inflight, 0);
+    }
 
     #[test]
     fn seq_tracker_dedups_and_advances() {

@@ -9,13 +9,17 @@
 //! 2. **No phantom throughput**: unique delivered bytes never exceed bytes
 //!    sent, and wire bytes never exceed bytes sent.
 //! 3. **Determinism**: a (config, seed) pair fully determines the outcome.
+//! 4. **Ring ≡ map**: the sender's O(1) sent-packet ring answers every
+//!    remove and drain exactly as the ordered map it replaced.
 
 #![cfg(test)]
 
+use crate::flow::{SentInfo, SentRing};
 use crate::{build_simple_flow, FiniteSource, UnlimitedSource};
 use proptest::prelude::*;
 use prudentia_cc::CcaKind;
 use prudentia_sim::{BottleneckConfig, Engine, PathSpec, ServiceId, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 fn cca_strategy() -> impl Strategy<Value = CcaKind> {
     prop_oneof![
@@ -126,5 +130,117 @@ proptest! {
             measured <= rate * 1.001,
             "throughput {measured} exceeds link {rate}"
         );
+    }
+}
+
+/// Reference model: the `BTreeMap<u64, SentInfo>` keyed by transmission
+/// number that `Sender::sent` used to be.
+#[derive(Default)]
+struct SentMap {
+    next_tx: u64,
+    map: BTreeMap<u64, SentInfo>,
+}
+
+impl SentMap {
+    fn push(&mut self, info: SentInfo) -> u64 {
+        let tx = self.next_tx;
+        self.next_tx += 1;
+        self.map.insert(tx, info);
+        tx
+    }
+
+    /// What `detect_reorder_losses` / `handle_rto` did: collect the keys
+    /// at or below `horizon` in ascending order, then remove each.
+    fn drain_through(&mut self, horizon: u64) -> Vec<SentInfo> {
+        let keys: Vec<u64> = self.map.range(..=horizon).map(|(&t, _)| t).collect();
+        keys.iter().map(|t| self.map.remove(t).unwrap()).collect()
+    }
+}
+
+/// Everything the ring gives up through `horizon`, oldest first.
+fn drain_ring(ring: &mut SentRing, horizon: u64) -> Vec<SentInfo> {
+    std::iter::from_fn(|| ring.pop_front_through(horizon)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sent_ring_matches_btreemap_model(
+        ops in proptest::collection::vec((0u8..9, any::<u64>()), 1..400),
+    ) {
+        let mut ring = SentRing::default();
+        let mut model = SentMap::default();
+        // Highest transmission acknowledged so far, as the sender tracks it.
+        let mut highest_acked: Option<u64> = None;
+        for &(op, pick) in &ops {
+            // The transmission an ACK-like op names, if any.
+            let acked = match op {
+                // Send (the most common op, so windows build up). The info
+                // is distinguishable per transmission.
+                0..=3 => {
+                    let info = SentInfo {
+                        data_seq: pick,
+                        size: 1 + (pick % 1500) as u32,
+                        sent_at: SimTime::from_nanos(model.next_tx),
+                        delivered_at_send: pick >> 7,
+                        delivered_time_at_send: SimTime::ZERO,
+                        app_limited: pick & 1 == 1,
+                        retransmitted: pick & 2 == 2,
+                    };
+                    prop_assert_eq!(ring.push(info), model.push(info), "tx numbers are dense");
+                    None
+                }
+                // In-order ACK: the oldest outstanding transmission.
+                4 => model.map.keys().next().copied(),
+                // Out-of-order ACK: any outstanding transmission.
+                5 => {
+                    let n = model.map.len().max(1);
+                    model.map.keys().nth(pick as usize % n).copied()
+                }
+                // Any number from 0 to just past the newest: duplicates of
+                // earlier ACKs, numbers below the ring's base (already
+                // drained as lost) and numbers never sent.
+                6 => Some(pick % (model.next_tx + 2)),
+                // Reorder-horizon drain, as after an ACK: everything three
+                // or more below the highest ACK (or an arbitrary horizon
+                // when nothing was acked yet).
+                7 => {
+                    let horizon = match highest_acked {
+                        Some(h) => h.saturating_sub(3),
+                        None => pick % (model.next_tx + 1),
+                    };
+                    prop_assert_eq!(
+                        drain_ring(&mut ring, horizon),
+                        model.drain_through(horizon),
+                        "reorder drain through {}",
+                        horizon
+                    );
+                    None
+                }
+                // RTO: everything outstanding, oldest first.
+                _ => {
+                    prop_assert_eq!(
+                        drain_ring(&mut ring, u64::MAX),
+                        model.drain_through(u64::MAX),
+                        "RTO drain"
+                    );
+                    None
+                }
+            };
+            if let Some(tx) = acked {
+                let want = model.map.remove(&tx);
+                prop_assert_eq!(ring.remove(tx), want, "remove({})", tx);
+                if want.is_some() {
+                    highest_acked = Some(highest_acked.map_or(tx, |h| h.max(tx)));
+                }
+            }
+            prop_assert_eq!(ring.is_empty(), model.map.is_empty());
+            prop_assert!(ring.slots() >= model.map.len());
+        }
+        // Draining what is left agrees too, and leaves both empty.
+        prop_assert_eq!(drain_ring(&mut ring, u64::MAX), model.drain_through(u64::MAX));
+        prop_assert!(ring.is_empty());
+        prop_assert_eq!(ring.slots(), 0);
     }
 }

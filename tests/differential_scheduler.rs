@@ -7,6 +7,11 @@
 //! them byte-for-byte. CI runs this suite twice — debug in the main test
 //! job and release in the `differential` job — so it also pins
 //! `--release` codegen against the blessed bytes.
+//!
+//! Beside the bytes it pins each golden trial's simulator event count
+//! ([`GOLDEN_SIM_EVENTS`]): work on the hot path may make an event
+//! cheaper, but a change that makes them *fewer* (or more) has changed
+//! what is simulated, even if the 100 ms telemetry happens not to show it.
 
 use prudentia_cc::CcaKind;
 use prudentia_check::golden::{
@@ -14,6 +19,21 @@ use prudentia_check::golden::{
 };
 use prudentia_check::run_solo;
 use prudentia_core::NetworkSetting;
+
+/// Events each golden trial processes, in [`GOLDEN_CCAS`] order, recorded
+/// on the commit before the sent-packet ring and the 2¹⁸ ns wheel tick
+/// (the `BTreeMap` transport on the 4096 ns wheel). Re-record only with
+/// a change that is meant to alter the event schedule, and say so.
+const GOLDEN_SIM_EVENTS: [(&str, u64); 8] = [
+    ("newreno", 102_176),
+    ("cubic", 102_923),
+    ("bbr_v1_linux515", 119_601),
+    ("bbr_v3", 118_195),
+    ("gcc", 37_130),
+    ("ledbatpp", 102_622),
+    ("bbr_v2", 119_600),
+    ("prague", 62_740),
+];
 
 #[test]
 fn wheel_matches_blessed_golden_bytes_cross_profile() {
@@ -44,6 +64,7 @@ fn wheel_matches_every_blessed_golden_at_the_golden_pin() {
     // golden suite pins, regenerated here so a calendar regression in any
     // CCA's event pattern fails in this suite too (release profile
     // included).
+    let mut sim_events = Vec::new();
     for &(kind, stem) in GOLDEN_CCAS.iter() {
         let setting = golden_setting(kind);
         let golden = default_golden_dir().join(format!("{stem}.csv"));
@@ -60,5 +81,10 @@ fn wheel_matches_every_blessed_golden_at_the_golden_pin() {
             blessed,
             "{stem}: timing wheel drifted from the blessed golden trace"
         );
+        sim_events.push((stem, run.sim_events));
     }
+    assert_eq!(
+        sim_events, GOLDEN_SIM_EVENTS,
+        "golden trials processed a different number of simulator events"
+    );
 }

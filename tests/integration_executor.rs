@@ -142,6 +142,38 @@ fn determinism_matrix_across_parallelism_and_cache() {
 }
 
 #[test]
+fn short_pair_event_counts_are_pinned() {
+    // Cheaper, not fewer: per-trial simulator event counts of one short
+    // pair, recorded on the commit before the sent-packet ring and the
+    // 2¹⁸ ns wheel tick. The lossy trial takes the reorder-drain and RTO
+    // paths through the ring thousands of times; a transport or calendar
+    // change that arms, drops or double-fires a single timer moves these
+    // numbers even when every fairness figure survives.
+    let pair = &matrix_pairs()[0];
+    let events = |trial: usize, external_loss: f64| {
+        let seed = trial_seed(
+            pair.contender.name(),
+            pair.incumbent.name(),
+            &pair.setting.name,
+            trial,
+        );
+        let mut spec = prudentia_core::ExperimentSpec::quick(
+            pair.contender.clone(),
+            pair.incumbent.clone(),
+            pair.setting.clone(),
+            seed,
+        );
+        spec.external_loss = external_loss;
+        prudentia_core::run_experiment_instrumented(&spec).1
+    };
+    assert_eq!(
+        [events(0, 0.0), events(1, 0.0005), events(0, 0.01)],
+        [636_091, 636_037, 429_058],
+        "per-trial sim_events of iPerf (Cubic) vs iPerf (Reno) at 8 Mbps moved"
+    );
+}
+
+#[test]
 fn scenario_trials_deterministic_across_parallelism_and_cache() {
     // The scenario analogue of the matrix test above: a CoDel pair and an
     // impaired (lossy, variable-rate) drop-tail pair must produce
