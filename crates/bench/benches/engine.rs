@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use prudentia_sim::{
     pow2_round, BottleneckConfig, DropTailQueue, EndpointId, Engine, FlowId, Packet, PathSpec,
-    ServiceId, SimDuration, SimTime,
+    QueueDiscipline, ServiceId, SimDuration, SimTime,
 };
 use prudentia_transport::{build_simple_flow, UnlimitedSource};
 

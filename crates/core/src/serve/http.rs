@@ -26,12 +26,17 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request head (request line + headers) we accept.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Idle keep-alive read timeout before a connection is dropped.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Time a request head may take to arrive once its first bytes are in,
+/// before the connection is dropped. Without it a client dripping one
+/// byte per [`IDLE_TIMEOUT`] could hold a worker for a whole
+/// `MAX_HEAD_BYTES` head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(10);
 /// Janitor poll period for the shutdown flag (off the request path).
 const JANITOR_PERIOD: Duration = Duration::from_millis(50);
 
@@ -213,7 +218,19 @@ struct Request {
 
 /// Read one request head from `buf`/`stream`. `Ok(None)` means the
 /// client closed (or idled out) cleanly between requests.
-fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<Option<Request>> {
+///
+/// A head must be complete within `head_deadline` of the first read that
+/// left it incomplete (or of the call, for a head already begun in
+/// `buf`); past it the result is a `TimedOut` error. The deadline is
+/// enforced by shrinking the stream's read timeout to the time left, so
+/// a head that arrives in one read costs no extra syscall, and a shrunk
+/// timeout is put back to [`IDLE_TIMEOUT`] once the head is complete.
+fn read_request(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+    head_deadline: Duration,
+) -> std::io::Result<Option<Request>> {
+    let mut head_started = None;
     let head_end = loop {
         if let Some(pos) = find_head_end(buf) {
             break pos;
@@ -224,6 +241,17 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<Op
                 "request head too large",
             ));
         }
+        if !buf.is_empty() {
+            let started = *head_started.get_or_insert_with(Instant::now);
+            let left = head_deadline.saturating_sub(started.elapsed());
+            if left.is_zero() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "request head deadline passed",
+                ));
+            }
+            stream.set_read_timeout(Some(left.min(IDLE_TIMEOUT)))?;
+        }
         let mut chunk = [0u8; 4096];
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -231,6 +259,9 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<Op
         }
         buf.extend_from_slice(&chunk[..n]);
     };
+    if head_started.is_some() {
+        stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    }
 
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     buf.drain(..head_end + 4);
@@ -294,10 +325,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<
 
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     loop {
-        let request = match read_request(&mut stream, &mut buf) {
+        let request = match read_request(&mut stream, &mut buf, HEAD_DEADLINE) {
             Ok(Some(req)) => req,
-            // Clean close between requests, idle timeout, or malformed
-            // head: drop the connection either way.
+            // Clean close between requests, idle timeout, head deadline
+            // passed, or malformed head: drop the connection either way.
             Ok(None) | Err(_) => return Ok(()),
         };
         // Drain any request body so pipelined parsing stays aligned.
@@ -827,5 +858,77 @@ mod tests {
 
         shutdown_and_join(&addr, handle);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A listener and one accepted server-side stream, configured the
+    /// way `handle_connection` configures it, plus the client end.
+    fn stream_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_read_timeout(Some(IDLE_TIMEOUT)).unwrap();
+        (server, client)
+    }
+
+    #[test]
+    fn a_dripping_head_is_cut_off_at_the_head_deadline() {
+        let (mut server, mut client) = stream_pair();
+        // One byte every 50 ms: each read returns well inside the idle
+        // timeout, so only the head deadline can end this.
+        let dripper = std::thread::spawn(move || {
+            for &b in b"GET /status HTTP/1.1\r\nX-Slow: ".iter().cycle().take(400) {
+                if client.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::park_timeout(Duration::from_millis(50));
+            }
+        });
+        let started = Instant::now();
+        let mut buf = Vec::new();
+        let err = read_request(&mut server, &mut buf, Duration::from_millis(400))
+            .err()
+            .expect("a dripping head must fail");
+        let took = started.elapsed();
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+            ),
+            "unexpected error {err:?}"
+        );
+        assert!(
+            took < Duration::from_secs(3),
+            "head deadline overran: {took:?}"
+        );
+        assert!(!buf.is_empty() && find_head_end(&buf).is_none());
+        drop(server);
+        dripper.join().unwrap();
+    }
+
+    #[test]
+    fn a_head_within_the_deadline_is_read_and_the_idle_timeout_restored() {
+        let (mut server, mut client) = stream_pair();
+        // In one write: no read timeout change at all.
+        client.write_all(b"GET /a HTTP/1.1\r\n\r\n").unwrap();
+        let mut buf = Vec::new();
+        let req = read_request(&mut server, &mut buf, Duration::from_secs(5))
+            .unwrap()
+            .expect("a complete head");
+        assert_eq!(req.path, "/a");
+        assert_eq!(server.read_timeout().unwrap(), Some(IDLE_TIMEOUT));
+        // Split in two: the timeout shrinks for the second read, then
+        // returns to the idle timeout for the keep-alive wait.
+        let writer = std::thread::spawn(move || {
+            client.write_all(b"GET /b HT").unwrap();
+            std::thread::park_timeout(Duration::from_millis(100));
+            client.write_all(b"TP/1.1\r\n\r\n").unwrap();
+            client
+        });
+        let req = read_request(&mut server, &mut buf, Duration::from_secs(5))
+            .unwrap()
+            .expect("a complete head");
+        assert_eq!(req.path, "/b");
+        assert_eq!(server.read_timeout().unwrap(), Some(IDLE_TIMEOUT));
+        drop(writer.join().unwrap());
     }
 }

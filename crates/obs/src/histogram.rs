@@ -73,17 +73,25 @@ impl Histogram {
     /// Record one sample. Negative values count into the zero bucket;
     /// NaN is ignored.
     pub fn record(&mut self, v: f64) {
-        if v.is_nan() {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of value `v` at once. Every integer field ends
+    /// up as after `n` calls of [`Histogram::record`]; so does `sum`
+    /// whenever `v · n` and the running sums are exact in `f64` (integer
+    /// `v` and sums below 2^53, as for queue depths in packets).
+    pub fn record_n(&mut self, v: f64, n: u64) {
+        if v.is_nan() || n == 0 {
             return;
         }
         let v = v.max(0.0);
         if v == 0.0 {
-            self.zero += 1;
+            self.zero += n;
         } else {
-            self.buckets[Self::index(v)] += 1;
+            self.buckets[Self::index(v)] += n;
         }
-        self.count += 1;
-        self.sum += v;
+        self.count += n;
+        self.sum += v * n as f64;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }

@@ -111,4 +111,29 @@ proptest! {
             child.total, parent.total
         );
     }
+
+    #[test]
+    fn record_n_equals_per_sample_records(
+        depths in proptest::collection::vec(0u32..5000, 0..400),
+    ) {
+        // The engine's queue-depth fold: per-depth counts recorded once
+        // each through `record_n` against one `record` per sample.
+        let mut per_sample = Histogram::new();
+        let mut counts = vec![0u64; 5000];
+        for &d in &depths {
+            per_sample.record(d as f64);
+            counts[d as usize] += 1;
+        }
+        let mut folded = Histogram::new();
+        for (d, &n) in counts.iter().enumerate() {
+            folded.record_n(d as f64, n);
+        }
+        prop_assert_eq!(integer_state(&folded), integer_state(&per_sample));
+        // Bit patterns, so the NaNs of an empty histogram compare equal.
+        let bits = |h: &Histogram| {
+            let s = h.summarize();
+            [s.sum, s.mean, s.min, s.max, s.p50, s.p90, s.p99].map(f64::to_bits)
+        };
+        prop_assert_eq!(bits(&folded), bits(&per_sample));
+    }
 }

@@ -9,8 +9,8 @@
 //! shared with FQ-CoDel (which runs one instance per flow queue).
 
 use super::{QdiscStats, QueueDiscipline};
-use crate::packet::{Packet, ServiceId};
-use crate::queue::{EnqueueResult, ServiceQueueStats};
+use crate::packet::Packet;
+use crate::queue::EnqueueResult;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -182,6 +182,7 @@ impl QueueDiscipline for CoDelQueue {
             return EnqueueResult::Dropped;
         }
         self.bytes += pkt.size as u64;
+        self.stats.on_enqueue(&pkt);
         self.queue.push_back(pkt);
         self.stats.note_occupancy(self.queue.len());
         EnqueueResult::Queued
@@ -189,10 +190,13 @@ impl QueueDiscipline for CoDelQueue {
 
     fn dequeue(&mut self, now: SimTime) -> Option<Packet> {
         let stats = &mut self.stats;
-        self.state
+        let pkt = self
+            .state
             .dequeue(&mut self.queue, &mut self.bytes, now, &mut |p| {
-                stats.on_drop(p)
-            })
+                stats.on_head_drop(p)
+            })?;
+        self.stats.on_dequeue(&pkt);
+        Some(pkt)
     }
 
     fn len(&self) -> usize {
@@ -203,31 +207,20 @@ impl QueueDiscipline for CoDelQueue {
         self.bytes
     }
 
-    fn max_occupancy(&self) -> usize {
-        self.stats.max_occupancy()
+    fn stats(&self) -> &QdiscStats {
+        &self.stats
     }
 
-    fn total_drops(&self) -> u64 {
-        self.stats.total_drops()
-    }
-
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.stats.service_stats(service)
-    }
-
-    fn services(&self) -> Vec<ServiceId> {
-        self.stats.services()
-    }
-
-    fn occupancy_of(&self, service: ServiceId) -> usize {
-        self.queue.iter().filter(|p| p.service == service).count()
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet> {
+        self.queue.iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{EndpointId, FlowId};
+    use crate::packet::{EndpointId, FlowId, ServiceId};
 
     fn pkt_at(seq: u64, at: SimTime) -> Packet {
         let mut p = Packet::data(FlowId(0), ServiceId(0), EndpointId(0), seq, 1500);

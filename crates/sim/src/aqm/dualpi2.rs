@@ -23,8 +23,8 @@
 //! is exactly as reproducible as a drop-tail one.
 
 use super::{QdiscStats, QueueDiscipline};
-use crate::packet::{EcnCodepoint, Packet, ServiceId};
-use crate::queue::{EnqueueResult, ServiceQueueStats};
+use crate::packet::{EcnCodepoint, Packet};
+use crate::queue::EnqueueResult;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -195,6 +195,7 @@ impl QueueDiscipline for DualPi2Queue {
             // L queue: probabilistic coupled marking happens at dequeue
             // (with the step threshold); nothing to decide here.
             self.l_bytes += pkt.size as u64;
+            self.stats.on_enqueue(&pkt);
             self.l_queue.push_back(pkt);
         } else {
             // Classic queue: drop (or mark, if ECT(0)) with p'².
@@ -209,6 +210,7 @@ impl QueueDiscipline for DualPi2Queue {
                 }
             }
             self.c_bytes += pkt.size as u64;
+            self.stats.on_enqueue(&pkt);
             self.c_queue.push_back(pkt);
         }
         self.stats.note_occupancy(self.total_len());
@@ -241,10 +243,12 @@ impl QueueDiscipline for DualPi2Queue {
                 pkt.ecn = EcnCodepoint::Ce;
                 self.marks += 1;
             }
+            self.stats.on_dequeue(&pkt);
             Some(pkt)
         } else {
             let pkt = self.c_queue.pop_front()?;
             self.c_bytes -= pkt.size as u64;
+            self.stats.on_dequeue(&pkt);
             Some(pkt)
         }
     }
@@ -257,35 +261,20 @@ impl QueueDiscipline for DualPi2Queue {
         self.l_bytes + self.c_bytes
     }
 
-    fn max_occupancy(&self) -> usize {
-        self.stats.max_occupancy()
+    fn stats(&self) -> &QdiscStats {
+        &self.stats
     }
 
-    fn total_drops(&self) -> u64 {
-        self.stats.total_drops()
-    }
-
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.stats.service_stats(service)
-    }
-
-    fn services(&self) -> Vec<ServiceId> {
-        self.stats.services()
-    }
-
-    fn occupancy_of(&self, service: ServiceId) -> usize {
-        self.l_queue
-            .iter()
-            .chain(self.c_queue.iter())
-            .filter(|p| p.service == service)
-            .count()
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet> {
+        self.l_queue.iter().chain(&self.c_queue).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{EndpointId, FlowId, MTU_BYTES};
+    use crate::packet::{EndpointId, FlowId, ServiceId, MTU_BYTES};
 
     fn classic_pkt(seq: u64) -> Packet {
         Packet::data(FlowId(0), ServiceId(0), EndpointId(0), seq, MTU_BYTES)

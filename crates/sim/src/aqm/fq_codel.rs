@@ -14,8 +14,8 @@
 
 use super::codel::CoDelState;
 use super::{QdiscStats, QueueDiscipline};
-use crate::packet::{FlowId, Packet, ServiceId};
-use crate::queue::{EnqueueResult, ServiceQueueStats};
+use crate::packet::{FlowId, Packet};
+use crate::queue::EnqueueResult;
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -99,7 +99,7 @@ impl FqCoDelQueue {
         q.bytes -= victim.size as u64;
         self.bytes -= victim.size as u64;
         self.len_pkts -= 1;
-        self.stats.on_drop(&victim);
+        self.stats.on_head_drop(&victim);
         (victim.flow, victim.seq)
     }
 }
@@ -118,6 +118,7 @@ impl QueueDiscipline for FqCoDelQueue {
         let identity = (pkt.flow, pkt.seq);
         let idx = self.bucket(pkt.flow);
         let size = pkt.size as u64;
+        self.stats.on_enqueue(&pkt);
         let q = &mut self.queues[idx];
         q.queue.push_back(pkt);
         q.bytes += size;
@@ -171,7 +172,7 @@ impl QueueDiscipline for FqCoDelQueue {
             let mut codel_drops = 0usize;
             let mut dropped_bytes = 0u64;
             let pkt = q.codel.dequeue(&mut q.queue, &mut q.bytes, now, &mut |p| {
-                stats.on_drop(p);
+                stats.on_head_drop(p);
                 codel_drops += 1;
                 dropped_bytes += p.size as u64;
             });
@@ -182,6 +183,7 @@ impl QueueDiscipline for FqCoDelQueue {
                     q.deficit -= p.size as i64;
                     self.len_pkts -= 1;
                     self.bytes -= p.size as u64;
+                    self.stats.on_dequeue(&p);
                     return Some(p);
                 }
                 None => {
@@ -211,35 +213,20 @@ impl QueueDiscipline for FqCoDelQueue {
         self.bytes
     }
 
-    fn max_occupancy(&self) -> usize {
-        self.stats.max_occupancy()
+    fn stats(&self) -> &QdiscStats {
+        &self.stats
     }
 
-    fn total_drops(&self) -> u64 {
-        self.stats.total_drops()
-    }
-
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.stats.service_stats(service)
-    }
-
-    fn services(&self) -> Vec<ServiceId> {
-        self.stats.services()
-    }
-
-    fn occupancy_of(&self, service: ServiceId) -> usize {
-        self.queues
-            .iter()
-            .flat_map(|q| q.queue.iter())
-            .filter(|p| p.service == service)
-            .count()
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet> {
+        self.queues.iter().flat_map(|q| &q.queue).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::EndpointId;
+    use crate::packet::{EndpointId, ServiceId};
 
     fn pkt(flow: u32, svc: u32, seq: u64, size: u32, at: SimTime) -> Packet {
         let mut p = Packet::data(FlowId(flow), ServiceId(svc), EndpointId(0), seq, size);

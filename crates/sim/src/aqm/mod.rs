@@ -38,7 +38,6 @@ use crate::packet::{Packet, ServiceId};
 use crate::queue::{DropTailQueue, EnqueueResult, ServiceQueueStats};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A bottleneck queueing discipline.
 ///
@@ -74,52 +73,110 @@ pub trait QueueDiscipline: std::fmt::Debug + Send {
     /// Current occupancy in bytes.
     fn bytes(&self) -> u64;
 
+    /// The discipline's per-service accounting, which every method below
+    /// reads.
+    fn stats(&self) -> &QdiscStats;
+
+    /// Every queued packet, in no particular order: the reference the
+    /// tests walk to check the O(1) counters in [`QdiscStats`].
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet>;
+
     /// Highest occupancy seen so far.
-    fn max_occupancy(&self) -> usize;
+    fn max_occupancy(&self) -> usize {
+        self.stats().max_occupancy()
+    }
 
     /// Total packets dropped so far (tail, early, and head drops).
-    fn total_drops(&self) -> u64;
+    fn total_drops(&self) -> u64 {
+        self.stats().total_drops()
+    }
 
     /// Per-service arrival/drop counters.
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats;
+    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
+        self.stats().service_stats(service)
+    }
 
     /// All services seen at this queue, in ascending id order.
-    fn services(&self) -> Vec<ServiceId>;
+    fn services(&self) -> Vec<ServiceId> {
+        self.stats().services()
+    }
 
     /// Count of queued packets belonging to `service` (Fig 8 samples).
-    fn occupancy_of(&self, service: ServiceId) -> usize;
+    fn occupancy_of(&self, service: ServiceId) -> usize {
+        self.stats().occupancy_of(service)
+    }
 }
 
 /// Shared per-service accounting used by every discipline.
 ///
-/// Uses a `BTreeMap` (not `HashMap`) so iteration — and everything
-/// serialized from it — is deterministic across runs and platforms.
+/// Counters live in a `Vec` indexed by `ServiceId.0`: service ids are
+/// small and dense by construction (the same assumption [`crate::Trace`]
+/// makes), so every per-packet update is an index, and iterating the
+/// `Vec` visits services in ascending id order. Besides arrivals and
+/// drops it counts each service's packets currently queued, which the
+/// discipline maintains at enqueue, dequeue and head drop, so
+/// [`QueueDiscipline::occupancy_of`] is a lookup instead of a walk of the
+/// queue.
 #[derive(Debug, Clone, Default)]
 pub struct QdiscStats {
-    per_service: BTreeMap<ServiceId, ServiceQueueStats>,
+    per_service: Vec<ServiceBook>,
     total_drops: u64,
     max_occupancy: usize,
 }
 
+/// One service's entry in [`QdiscStats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ServiceBook {
+    counters: ServiceQueueStats,
+    queued: usize,
+}
+
 impl QdiscStats {
+    fn book(&mut self, service: ServiceId) -> &mut ServiceBook {
+        let idx = service.0 as usize;
+        if idx >= self.per_service.len() {
+            self.per_service.resize(idx + 1, ServiceBook::default());
+        }
+        &mut self.per_service[idx]
+    }
+
     /// Record a packet arriving at the queue (before any drop decision).
     pub fn on_arrival(&mut self, pkt: &Packet) {
-        let e = self.per_service.entry(pkt.service).or_default();
+        let e = &mut self.book(pkt.service).counters;
         e.arrived_pkts += 1;
         e.arrived_bytes += pkt.size as u64;
     }
 
-    /// Record a packet dropped (at the tail, early, or at the head).
+    /// Record a packet dropped before it was queued (at the tail or
+    /// early).
     pub fn on_drop(&mut self, pkt: &Packet) {
-        let e = self.per_service.entry(pkt.service).or_default();
+        let e = &mut self.book(pkt.service).counters;
         e.dropped_pkts += 1;
         e.dropped_bytes += pkt.size as u64;
         self.total_drops += 1;
     }
 
+    /// Record a packet joining the queue.
+    pub fn on_enqueue(&mut self, pkt: &Packet) {
+        self.book(pkt.service).queued += 1;
+    }
+
     /// Track the high-water occupancy mark.
     pub fn note_occupancy(&mut self, len: usize) {
         self.max_occupancy = self.max_occupancy.max(len);
+    }
+
+    /// Record a packet leaving the queue for the link.
+    pub fn on_dequeue(&mut self, pkt: &Packet) {
+        self.book(pkt.service).queued -= 1;
+    }
+
+    /// Record a queued packet dropped from the head (CoDel, or an
+    /// FQ-CoDel overflow).
+    pub fn on_head_drop(&mut self, pkt: &Packet) {
+        self.on_dequeue(pkt);
+        self.on_drop(pkt);
     }
 
     /// Total drops so far.
@@ -134,12 +191,27 @@ impl QdiscStats {
 
     /// Counters for one service (zero if never seen).
     pub fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.per_service.get(&service).copied().unwrap_or_default()
+        self.per_service
+            .get(service.0 as usize)
+            .map(|b| b.counters)
+            .unwrap_or_default()
     }
 
-    /// Services seen, ascending by id.
+    /// Services seen (with at least one arrival or drop), ascending by id.
     pub fn services(&self) -> Vec<ServiceId> {
-        self.per_service.keys().copied().collect()
+        self.per_service
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.counters.arrived_pkts > 0 || b.counters.dropped_pkts > 0)
+            .map(|(i, _)| ServiceId(i as u32))
+            .collect()
+    }
+
+    /// Packets of `service` in the queue right now.
+    pub fn occupancy_of(&self, service: ServiceId) -> usize {
+        self.per_service
+            .get(service.0 as usize)
+            .map_or(0, |b| b.queued)
     }
 }
 
@@ -367,13 +439,22 @@ mod tests {
         let p = pkt(3, 0);
         s.on_arrival(&p);
         s.on_arrival(&p);
+        s.on_arrival(&p);
         s.on_drop(&p);
+        s.on_enqueue(&p);
+        s.on_enqueue(&p);
         s.note_occupancy(5);
         s.note_occupancy(2);
-        assert_eq!(s.service_stats(ServiceId(3)).arrived_pkts, 2);
-        assert_eq!(s.service_stats(ServiceId(3)).dropped_pkts, 1);
-        assert_eq!(s.total_drops(), 1);
+        assert_eq!(s.occupancy_of(ServiceId(3)), 2);
+        s.on_dequeue(&p);
+        s.on_head_drop(&p);
+        assert_eq!(s.occupancy_of(ServiceId(3)), 0);
+        assert_eq!(s.service_stats(ServiceId(3)).arrived_pkts, 3);
+        assert_eq!(s.service_stats(ServiceId(3)).dropped_pkts, 2);
+        assert_eq!(s.total_drops(), 2);
         assert_eq!(s.max_occupancy(), 5);
         assert_eq!(s.services(), vec![ServiceId(3)]);
+        assert_eq!(s.service_stats(ServiceId(9)).arrived_pkts, 0);
+        assert_eq!(s.occupancy_of(ServiceId(9)), 0);
     }
 }

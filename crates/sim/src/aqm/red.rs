@@ -17,8 +17,8 @@
 //! drop-tail one and never perturbs the engine's main RNG stream.
 
 use super::{QdiscStats, QueueDiscipline};
-use crate::packet::{Packet, ServiceId};
-use crate::queue::{EnqueueResult, ServiceQueueStats};
+use crate::packet::Packet;
+use crate::queue::EnqueueResult;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,6 +125,7 @@ impl QueueDiscipline for RedQueue {
             return EnqueueResult::Dropped;
         }
         self.bytes += pkt.size as u64;
+        self.stats.on_enqueue(&pkt);
         self.queue.push_back(pkt);
         self.stats.note_occupancy(self.queue.len());
         EnqueueResult::Queued
@@ -133,6 +134,7 @@ impl QueueDiscipline for RedQueue {
     fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
         let pkt = self.queue.pop_front()?;
         self.bytes -= pkt.size as u64;
+        self.stats.on_dequeue(&pkt);
         Some(pkt)
     }
 
@@ -144,31 +146,20 @@ impl QueueDiscipline for RedQueue {
         self.bytes
     }
 
-    fn max_occupancy(&self) -> usize {
-        self.stats.max_occupancy()
+    fn stats(&self) -> &QdiscStats {
+        &self.stats
     }
 
-    fn total_drops(&self) -> u64 {
-        self.stats.total_drops()
-    }
-
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.stats.service_stats(service)
-    }
-
-    fn services(&self) -> Vec<ServiceId> {
-        self.stats.services()
-    }
-
-    fn occupancy_of(&self, service: ServiceId) -> usize {
-        self.queue.iter().filter(|p| p.service == service).count()
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet> {
+        self.queue.iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{EndpointId, FlowId};
+    use crate::packet::{EndpointId, FlowId, ServiceId};
 
     fn pkt(seq: u64) -> Packet {
         Packet::data(FlowId(0), ServiceId(0), EndpointId(0), seq, 1500)

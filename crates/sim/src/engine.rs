@@ -184,7 +184,7 @@ impl<'a> Ctx<'a> {
 pub struct Engine {
     now: SimTime,
     events: TimingWheel,
-    endpoints: Vec<Option<Box<dyn Endpoint>>>,
+    endpoints: Vec<Box<dyn Endpoint>>,
     net: Network,
     trace: Trace,
     pcap: Option<PcapWriter>,
@@ -199,6 +199,11 @@ pub struct Engine {
     /// a registry once per trial. Recording reads only `queue.len()`, so
     /// it cannot perturb simulation outcomes.
     queue_depth: Histogram,
+    /// Samples per occupancy (index = packets queued) not yet folded into
+    /// `queue_depth`. Depths are integers, so folding `n` samples of
+    /// depth `d` at the end of [`Engine::run_until`] gives the histogram
+    /// per-sample recording would, at an array increment per sample.
+    depth_counts: Vec<u64>,
     /// The experiment seed and serialized scenario, kept for repro context
     /// in invariant-violation messages.
     seed: u64,
@@ -252,6 +257,7 @@ impl Engine {
             events_processed: 0,
             dropped_dispatches: 0,
             queue_depth: Histogram::new(),
+            depth_counts: Vec::new(),
             invariants,
         }
     }
@@ -328,7 +334,7 @@ impl Engine {
     /// Register an endpoint; returns its id.
     pub fn add_endpoint(&mut self, ep: Box<dyn Endpoint>) -> EndpointId {
         let id = EndpointId(self.endpoints.len() as u32);
-        self.endpoints.push(Some(ep));
+        self.endpoints.push(ep);
         id
     }
 
@@ -420,7 +426,8 @@ impl Engine {
     }
 
     /// Distribution of total bottleneck queue occupancy (in packets),
-    /// sampled at every enqueue and transmit completion.
+    /// sampled at every enqueue and transmit completion, up to the end of
+    /// the last [`Engine::run_until`].
     pub fn queue_depth_histogram(&self) -> &Histogram {
         &self.queue_depth
     }
@@ -438,8 +445,7 @@ impl Engine {
     }
 
     fn start_endpoints(&mut self) {
-        for idx in 0..self.endpoints.len() {
-            let mut ep = self.endpoints[idx].take().expect("endpoint re-entry");
+        for (idx, ep) in self.endpoints.iter_mut().enumerate() {
             let mut ctx = Ctx {
                 now: self.now,
                 self_id: EndpointId(idx as u32),
@@ -448,7 +454,6 @@ impl Engine {
                 trace: &mut self.trace,
             };
             ep.on_start(&mut ctx);
-            self.endpoints[idx] = Some(ep);
         }
     }
 
@@ -476,10 +481,12 @@ impl Engine {
 
     fn sample_queue(&mut self) {
         let total = self.net.queue.len();
-        self.queue_depth.record(total as f64);
-        // Per-service occupancy walks the whole queue; only pay for it
-        // when the trace will actually keep the sample (it decimates to
-        // one sample per 10 ms by default).
+        if total >= self.depth_counts.len() {
+            self.depth_counts.resize(total + 1, 0);
+        }
+        self.depth_counts[total] += 1;
+        // The trace keeps one sample per 10 ms by default; skip the
+        // per-service lookups for the samples it would discard.
         if self.trace.wants_queue_sample(self.now) {
             let (a, b) = self.net.svc_pair;
             let qa = self.net.queue.occupancy_of(a);
@@ -488,29 +495,36 @@ impl Engine {
         }
     }
 
+    fn fold_depth_counts(&mut self) {
+        for (depth, n) in self.depth_counts.iter_mut().enumerate() {
+            if *n > 0 {
+                self.queue_depth.record_n(depth as f64, *n);
+                *n = 0;
+            }
+        }
+    }
+
     fn dispatch_to_endpoint(&mut self, id: EndpointId, action: DispatchAction) {
-        let idx = id.0 as usize;
-        let Some(mut ep) = self.endpoints.get_mut(idx).and_then(Option::take) else {
+        // The endpoint is borrowed in place: `Ctx` reaches only the other
+        // fields of `self`, so no callback can reach `endpoints`.
+        let Some(ep) = self.endpoints.get_mut(id.0 as usize) else {
             self.dropped_dispatches += 1;
             if let Some(g) = self.invariants.as_ref() {
                 g.dispatch_dropped(id, self.endpoints.len());
             }
             return;
         };
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: id,
-                events: &mut self.events,
-                net: &mut self.net,
-                trace: &mut self.trace,
-            };
-            match action {
-                DispatchAction::Packet(pkt) => ep.on_packet(pkt, &mut ctx),
-                DispatchAction::Timer(token) => ep.on_timer(token, &mut ctx),
-            }
+        let mut ctx = Ctx {
+            now: self.now,
+            self_id: id,
+            events: &mut self.events,
+            net: &mut self.net,
+            trace: &mut self.trace,
+        };
+        match action {
+            DispatchAction::Packet(pkt) => ep.on_packet(pkt, &mut ctx),
+            DispatchAction::Timer(token) => ep.on_timer(token, &mut ctx),
         }
-        self.endpoints[idx] = Some(ep);
     }
 
     /// Run the simulation until `until`, or until no events remain.
@@ -605,6 +619,7 @@ impl Engine {
         if self.now < until {
             self.now = until;
         }
+        self.fold_depth_counts();
     }
 }
 

@@ -13,7 +13,8 @@
 //!   including disciplines that drop internally at dequeue (CoDel head
 //!   drops);
 //! * **per-service conservation** — the per-service arrival/drop ledgers
-//!   (which feed the loss-rate heatmap) sum to the same totals;
+//!   (which feed the loss-rate heatmap) sum to the same totals, and the
+//!   per-service occupancy counters sum to the queue's length;
 //! * **no dropped dispatch** — every delivered packet and fired timer
 //!   finds the endpoint it is addressed to (release builds without the
 //!   guard count them in `Engine::dropped_dispatches` instead).
@@ -160,10 +161,12 @@ impl InvariantGuard {
         }
         let mut arrived = 0u64;
         let mut dropped = 0u64;
+        let mut queued = 0u64;
         for svc in queue.services() {
             let s = queue.service_stats(svc);
             arrived += s.arrived_pkts;
             dropped += s.dropped_pkts;
+            queued += queue.occupancy_of(svc) as u64;
             if s.dropped_pkts > s.arrived_pkts {
                 self.violated(&format!(
                     "per-service ledger for {:?} at {}: {} drops exceed {} arrivals",
@@ -188,6 +191,14 @@ impl InvariantGuard {
                 queue.kind(),
                 dropped,
                 drops
+            ));
+        }
+        if queued != len {
+            self.violated(&format!(
+                "per-service occupancy at {}: service counters sum to {} queued, discipline holds {}",
+                queue.kind(),
+                queued,
+                len
             ));
         }
     }
@@ -237,6 +248,61 @@ mod tests {
         let mut g = guard();
         let mut q = DropTailQueue::new(4);
         // Enqueue behind the guard's back: ledger no longer balances.
+        let pkt = Packet::data(FlowId(0), ServiceId(0), EndpointId(0), 0, 1500);
+        let _ = crate::aqm::QueueDiscipline::enqueue(&mut q, pkt, SimTime::ZERO);
+        g.check_queue(&q);
+    }
+
+    /// A drop-tail queue whose own per-service book records arrivals and
+    /// drops but forgets to count packets in: the bug the occupancy audit
+    /// exists to catch.
+    #[derive(Debug)]
+    struct Forgetful {
+        inner: DropTailQueue,
+        stats: crate::aqm::QdiscStats,
+    }
+
+    impl crate::aqm::QueueDiscipline for Forgetful {
+        fn kind(&self) -> &'static str {
+            "forgetful"
+        }
+        fn capacity(&self) -> usize {
+            self.inner.capacity()
+        }
+        fn enqueue(&mut self, pkt: Packet, _now: SimTime) -> crate::queue::EnqueueResult {
+            self.stats.on_arrival(&pkt);
+            let res = self.inner.enqueue(pkt.clone());
+            if res == crate::queue::EnqueueResult::Dropped {
+                self.stats.on_drop(&pkt);
+            }
+            res
+        }
+        fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
+            self.inner.dequeue()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn bytes(&self) -> u64 {
+            self.inner.bytes()
+        }
+        fn stats(&self) -> &crate::aqm::QdiscStats {
+            &self.stats
+        }
+        fn queued(&self) -> Vec<&Packet> {
+            self.inner.queued()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "per-service occupancy at forgetful")]
+    fn occupancy_counters_must_sum_to_len() {
+        let mut g = guard();
+        let mut q = Forgetful {
+            inner: DropTailQueue::new(4),
+            stats: Default::default(),
+        };
+        g.on_arrival();
         let pkt = Packet::data(FlowId(0), ServiceId(0), EndpointId(0), 0, 1500);
         let _ = crate::aqm::QueueDiscipline::enqueue(&mut q, pkt, SimTime::ZERO);
         g.check_queue(&q);

@@ -6,10 +6,10 @@ use crate::aqm::{QdiscSpec, QueueDiscipline};
 use crate::engine::{Ctx, Endpoint, Engine};
 use crate::event::Event;
 use crate::link::{BottleneckConfig, PathSpec};
-use crate::packet::{EndpointId, FlowId, Packet, PacketArena, ServiceId};
-use crate::queue::{pow2_round, DropTailQueue, EnqueueResult};
+use crate::packet::{EcnCodepoint, EndpointId, FlowId, Packet, PacketArena, ServiceId};
+use crate::queue::{pow2_round, DropTailQueue, EnqueueResult, ServiceQueueStats};
 use crate::scenario::{ImpairmentSpec, RateStep, ScenarioSpec};
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_nonneg, SimDuration, SimTime};
 use crate::wheel::{TimingWheel, HORIZON_TICKS, SLOT_BITS, TICK_SHIFT};
 use proptest::prelude::*;
 
@@ -52,6 +52,136 @@ fn churn(
         }
     }
     (arrived, delivered, q.len() as u64)
+}
+
+/// Every discipline, DualPI2 included.
+fn every_qdisc() -> [QdiscSpec; 5] {
+    [
+        QdiscSpec::DropTail,
+        QdiscSpec::codel(),
+        QdiscSpec::fq_codel(),
+        QdiscSpec::red(),
+        QdiscSpec::dualpi2(),
+    ]
+}
+
+/// Reference model of a discipline's per-service accounting, kept by
+/// walking the packets it holds: a packet that was held (or just
+/// offered) before an operation and is neither held after it nor handed
+/// out by it was dropped.
+#[derive(Default)]
+struct QueueModel {
+    stats: std::collections::BTreeMap<ServiceId, ServiceQueueStats>,
+}
+
+/// The packets a discipline holds, by their unique `seq`.
+fn held(q: &dyn QueueDiscipline) -> std::collections::BTreeMap<u64, (ServiceId, u32)> {
+    q.queued()
+        .into_iter()
+        .map(|p| (p.seq, (p.service, p.size)))
+        .collect()
+}
+
+impl QueueModel {
+    fn arrive(&mut self, p: &Packet) {
+        let e = self.stats.entry(p.service).or_default();
+        e.arrived_pkts += 1;
+        e.arrived_bytes += p.size as u64;
+    }
+
+    /// Charge every packet in `before` that is gone from `q` and was not
+    /// `handed_out` as a drop of its service.
+    fn settle(
+        &mut self,
+        before: std::collections::BTreeMap<u64, (ServiceId, u32)>,
+        q: &dyn QueueDiscipline,
+        handed_out: Option<u64>,
+    ) {
+        let after = held(q);
+        for (seq, (service, size)) in before {
+            if !after.contains_key(&seq) && handed_out != Some(seq) {
+                let e = self.stats.entry(service).or_default();
+                e.dropped_pkts += 1;
+                e.dropped_bytes += size as u64;
+            }
+        }
+    }
+
+    /// Compare `q`'s O(1) counters with the walk and with this model.
+    fn check(&self, q: &dyn QueueDiscipline) -> Result<(), String> {
+        let kind = q.kind();
+        let services = q.services();
+        if !services.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!("{kind}: services() not ascending: {services:?}"));
+        }
+        let seen: Vec<ServiceId> = self.stats.keys().copied().collect();
+        if services != seen {
+            return Err(format!("{kind}: services() {services:?}, model {seen:?}"));
+        }
+        let queued = q.queued();
+        let mut sum = 0;
+        for svc in [0, 1, 2, 7, 8].map(ServiceId) {
+            let walked = queued.iter().filter(|p| p.service == svc).count();
+            let counted = q.occupancy_of(svc);
+            if walked != counted {
+                return Err(format!(
+                    "{kind}: {svc:?} walk {walked} != counter {counted}"
+                ));
+            }
+            sum += counted;
+            let got = q.service_stats(svc);
+            let want = self.stats.get(&svc).copied().unwrap_or_default();
+            let fields = |s: ServiceQueueStats| {
+                (
+                    s.arrived_pkts,
+                    s.arrived_bytes,
+                    s.dropped_pkts,
+                    s.dropped_bytes,
+                )
+            };
+            if fields(got) != fields(want) {
+                return Err(format!("{kind}: {svc:?} stats {got:?} != model {want:?}"));
+            }
+        }
+        if sum != q.len() || queued.len() != q.len() {
+            return Err(format!(
+                "{kind}: counters sum to {sum}, walk finds {}, len is {}",
+                queued.len(),
+                q.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn round_nonneg_matches_round_at_the_edges() {
+    let two = |e: i32| 2f64.powi(e);
+    let mut xs = vec![
+        0.0,
+        0.49999999999999994, // largest double below 0.5
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+        two(52) - 1.0,
+        two(52) - 0.5,
+        two(52),
+        two(52) + 1.0,
+        two(53) - 1.0,
+        two(53),
+        two(53) + 2.0, // 2^53 + 1 is not a double
+        two(63),
+        two(64) - 2048.0,
+        two(64),
+        two(64) * 1.5,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+    xs.extend((0..64).map(|k| k as f64 + 0.5));
+    xs.extend((0..64).map(|k| 1e6 * k as f64 + 0.5));
+    for x in xs {
+        assert_eq!(round_nonneg(x), x.round() as u64, "x = {x:e}");
+    }
 }
 
 /// Strategy for a random impairment schedule: loss, jitter, reordering
@@ -483,5 +613,64 @@ proptest! {
         // Doubling the rate halves the time (within rounding).
         let ratio = one.as_nanos() as f64 / double_rate.as_nanos().max(1) as f64;
         prop_assert!((ratio - 2.0).abs() < 0.1 || one.as_nanos() < 100);
+    }
+
+    #[test]
+    fn occupancy_counters_equal_a_walk_of_the_queue(
+        capacity in 1usize..48,
+        seed in 0u64..1000,
+        ops in proptest::collection::vec((0u32..3, 0u32..6, 0u8..4, 0u8..3, 0u32..15), 1..160),
+    ) {
+        // Services 0, 1 and 7 (non-contiguous ids), all four ECN
+        // codepoints and random enqueue/dequeue interleavings, so tail,
+        // early, head and overflow drops all occur.
+        for spec in every_qdisc() {
+            let mut q = spec.build(capacity, seed);
+            let mut model = QueueModel::default();
+            let mut now = SimTime::ZERO;
+            for (seq, &(svc, flow, ecn, deqs, size_class)) in ops.iter().enumerate() {
+                let mut p = Packet::data(
+                    FlowId(flow),
+                    ServiceId([0, 1, 7][svc as usize]),
+                    EndpointId(0),
+                    seq as u64,
+                    100 + size_class * 100,
+                );
+                p.ecn = [
+                    EcnCodepoint::NotEct,
+                    EcnCodepoint::Ect0,
+                    EcnCodepoint::Ect1,
+                    EcnCodepoint::Ce,
+                ][ecn as usize];
+                p.enqueued_at = now;
+                model.arrive(&p);
+                let mut before = held(q.as_ref());
+                before.insert(p.seq, (p.service, p.size));
+                q.enqueue(p, now);
+                model.settle(before, q.as_ref(), None);
+                let r = model.check(q.as_ref());
+                prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+                for _ in 0..deqs {
+                    now += SimDuration::from_millis(4);
+                    let before = held(q.as_ref());
+                    let out = q.dequeue(now).map(|p| p.seq);
+                    model.settle(before, q.as_ref(), out);
+                    let r = model.check(q.as_ref());
+                    prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn round_nonneg_equals_round_on_random_magnitudes(bits in any::<u64>(), small in 0f64..1e13) {
+        // Random bit patterns cover every exponent; `small` covers the
+        // nanosecond range the simulator actually converts.
+        let wide = f64::from_bits(bits & !(1 << 63));
+        for x in [wide, small, small.fract(), small + 0.5] {
+            if x.is_finite() {
+                prop_assert_eq!(round_nonneg(x), x.round() as u64, "x = {:e}", x);
+            }
+        }
     }
 }

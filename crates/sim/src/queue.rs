@@ -6,10 +6,10 @@
 //! per-service arrival/drop accounting used for the loss-rate heatmap
 //! (Fig 12).
 
-use crate::aqm::QueueDiscipline;
-use crate::packet::{Packet, ServiceId};
+use crate::aqm::{QdiscStats, QueueDiscipline};
+use crate::packet::Packet;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Round `n` to the nearest power of two (ties round up), minimum 1.
 ///
@@ -77,12 +77,9 @@ impl ServiceQueueStats {
 #[derive(Debug)]
 pub struct DropTailQueue {
     queue: VecDeque<Packet>,
+    bytes: u64,
     capacity_pkts: usize,
-    // BTreeMap, not HashMap: iteration order (and everything derived from
-    // it) must be deterministic across runs and platforms.
-    stats: BTreeMap<ServiceId, ServiceQueueStats>,
-    total_drops: u64,
-    max_occupancy: usize,
+    stats: QdiscStats,
 }
 
 impl DropTailQueue {
@@ -91,56 +88,23 @@ impl DropTailQueue {
         assert!(capacity_pkts >= 1, "queue must hold at least one packet");
         DropTailQueue {
             queue: VecDeque::with_capacity(capacity_pkts.min(1 << 16)),
+            bytes: 0,
             capacity_pkts,
-            stats: BTreeMap::new(),
-            total_drops: 0,
-            max_occupancy: 0,
+            stats: QdiscStats::default(),
         }
-    }
-
-    /// Configured capacity in packets.
-    pub fn capacity(&self) -> usize {
-        self.capacity_pkts
-    }
-
-    /// Current occupancy in packets.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Current occupancy in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.queue.iter().map(|p| p.size as u64).sum()
-    }
-
-    /// Highest occupancy seen so far.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
-    /// Total packets dropped so far.
-    pub fn total_drops(&self) -> u64 {
-        self.total_drops
     }
 
     /// Offer a packet; returns whether it was queued or tail-dropped.
     pub fn enqueue(&mut self, pkt: Packet) -> EnqueueResult {
-        let entry = self.stats.entry(pkt.service).or_default();
-        entry.arrived_pkts += 1;
-        entry.arrived_bytes += pkt.size as u64;
+        self.stats.on_arrival(&pkt);
         if self.queue.len() >= self.capacity_pkts {
-            entry.dropped_pkts += 1;
-            entry.dropped_bytes += pkt.size as u64;
-            self.total_drops += 1;
+            self.stats.on_drop(&pkt);
             return EnqueueResult::Dropped;
         }
+        self.bytes += pkt.size as u64;
+        self.stats.on_enqueue(&pkt);
         self.queue.push_back(pkt);
-        self.max_occupancy = self.max_occupancy.max(self.queue.len());
+        self.stats.note_occupancy(self.queue.len());
         debug_assert!(
             self.queue.len() <= self.capacity_pkts,
             "drop-tail occupancy {} exceeds capacity {}",
@@ -152,36 +116,22 @@ impl DropTailQueue {
 
     /// Pop the head-of-line packet.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        self.queue.pop_front()
-    }
-
-    /// Per-service arrival/drop counters.
-    pub fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        self.stats.get(&service).copied().unwrap_or_default()
-    }
-
-    /// All services seen at this queue, in ascending id order.
-    pub fn services(&self) -> impl Iterator<Item = ServiceId> + '_ {
-        self.stats.keys().copied()
-    }
-
-    /// Count of queued packets belonging to `service` (for Fig 8's
-    /// per-service queue-share timelines).
-    pub fn occupancy_of(&self, service: ServiceId) -> usize {
-        self.queue.iter().filter(|p| p.service == service).count()
+        let pkt = self.queue.pop_front()?;
+        self.bytes -= pkt.size as u64;
+        self.stats.on_dequeue(&pkt);
+        Some(pkt)
     }
 }
 
-/// Drop-tail is the default [`QueueDiscipline`] — the trait methods
-/// delegate to the inherent ones, which predate the scenario subsystem and
-/// keep their exact semantics (so legacy trials stay byte-identical).
+/// Drop-tail is the default [`QueueDiscipline`]; the clock-taking trait
+/// methods delegate to the inherent ones, which ignore the clock.
 impl QueueDiscipline for DropTailQueue {
     fn kind(&self) -> &'static str {
         "droptail"
     }
 
     fn capacity(&self) -> usize {
-        DropTailQueue::capacity(self)
+        self.capacity_pkts
     }
 
     fn enqueue(&mut self, pkt: Packet, _now: SimTime) -> EnqueueResult {
@@ -193,38 +143,27 @@ impl QueueDiscipline for DropTailQueue {
     }
 
     fn len(&self) -> usize {
-        DropTailQueue::len(self)
+        self.queue.len()
     }
 
     fn bytes(&self) -> u64 {
-        DropTailQueue::bytes(self)
+        self.bytes
     }
 
-    fn max_occupancy(&self) -> usize {
-        DropTailQueue::max_occupancy(self)
+    fn stats(&self) -> &QdiscStats {
+        &self.stats
     }
 
-    fn total_drops(&self) -> u64 {
-        DropTailQueue::total_drops(self)
-    }
-
-    fn service_stats(&self, service: ServiceId) -> ServiceQueueStats {
-        DropTailQueue::service_stats(self, service)
-    }
-
-    fn services(&self) -> Vec<ServiceId> {
-        DropTailQueue::services(self).collect()
-    }
-
-    fn occupancy_of(&self, service: ServiceId) -> usize {
-        DropTailQueue::occupancy_of(self, service)
+    #[cfg(test)]
+    fn queued(&self) -> Vec<&Packet> {
+        self.queue.iter().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{EndpointId, FlowId};
+    use crate::packet::{EndpointId, FlowId, ServiceId};
 
     fn pkt(svc: u32, seq: u64) -> Packet {
         Packet::data(FlowId(svc), ServiceId(svc), EndpointId(0), seq, 1500)

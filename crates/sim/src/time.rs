@@ -96,7 +96,7 @@ impl SimDuration {
     /// Construct from fractional seconds. Panics on negative or non-finite input.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_nonneg(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -120,7 +120,7 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "invalid factor: {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_nonneg(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
@@ -237,6 +237,23 @@ impl fmt::Display for SimDuration {
         } else {
             write!(f, "{}ns", self.0)
         }
+    }
+}
+
+/// `f64::round(x) as u64` for finite or infinite `x >= 0`, without the libm call.
+///
+/// Truncation is exact, and so is `x - t` for every `x` below 2^52 (it is
+/// `x`'s own fraction bits); from 2^52 up every `f64` is an integer and the
+/// difference is 0. So `x - t >= 0.5` is exactly "the fraction rounds half
+/// away from zero". At and above 2^64 the cast saturates to `u64::MAX`,
+/// like the `as u64` after `round`, and the saturating add keeps it there.
+#[inline]
+pub(crate) fn round_nonneg(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 

@@ -206,10 +206,9 @@ impl Trace {
     }
 
     /// Whether a queue sample taken at `now` would be kept rather than
-    /// decimated away. The engine checks this *before* computing
-    /// per-service occupancies, which walk the whole queue — without the
-    /// pre-check those O(queue) scans run on every event only for
-    /// `sample_queue` to discard >99% of them.
+    /// decimated away. The engine checks this before looking up the
+    /// per-service occupancies, so the >99% of samples that
+    /// `sample_queue` would discard cost one comparison.
     pub fn wants_queue_sample(&self, now: SimTime) -> bool {
         match self.last_queue_sample {
             Some(last) => now.saturating_since(last) >= self.queue_sample_interval,

@@ -269,19 +269,13 @@ impl Sender {
         self.restarts
     }
 
-    fn rto_duration(&self) -> SimDuration {
-        let base = match self.srtt {
-            Some(srtt) => srtt + self.rttvar.mul_f64(4.0),
-            None => SimDuration::from_secs(1),
-        };
-        let backed_off = base.mul_f64(f64::from(1u32 << self.rto_backoff.min(6)));
-        backed_off.max(MIN_RTO)
-    }
-
     fn arm_rto(&mut self, ctx: &mut Ctx<'_>) {
         self.rto_gen += 1;
         let token = TOKEN_RTO_BASE | self.rto_gen;
-        ctx.set_timer(self.rto_duration(), token);
+        ctx.set_timer(
+            rto_duration(self.srtt, self.rttvar, self.rto_backoff),
+            token,
+        );
     }
 
     fn update_rtt(&mut self, sample: SimDuration) {
@@ -646,9 +640,26 @@ impl Endpoint for Sender {
     }
 }
 
+/// The retransmission timeout: `srtt + 4·rttvar` (1 s before the first
+/// RTT sample), doubled per backoff step up to 2^6, floored at
+/// [`MIN_RTO`]. Integer and saturating; it equals the `f64` formula it
+/// replaced for every srtt and rttvar below 2^50 ns, where each
+/// intermediate of that formula is an exactly represented integer.
+pub(crate) fn rto_duration(
+    srtt: Option<SimDuration>,
+    rttvar: SimDuration,
+    backoff: u32,
+) -> SimDuration {
+    let base = match srtt {
+        Some(srtt) => srtt + rttvar * 4,
+        None => SimDuration::from_secs(1),
+    };
+    (base * (1u64 << backoff.min(6))).max(MIN_RTO)
+}
+
 /// Tracks which sequence numbers have been seen, compactly.
 #[derive(Debug, Default)]
-struct SeqTracker {
+pub(crate) struct SeqTracker {
     /// All seqs below this are received.
     floor: u64,
     /// Out-of-order seqs at or above `floor`.
@@ -657,7 +668,12 @@ struct SeqTracker {
 
 impl SeqTracker {
     /// Record `seq`; returns true if it was new.
-    fn insert(&mut self, seq: u64) -> bool {
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
+        // In-order delivery, the common case, touches no tree node.
+        if seq == self.floor && self.pending.is_empty() {
+            self.floor += 1;
+            return true;
+        }
         if seq < self.floor || self.pending.contains(&seq) {
             return false;
         }

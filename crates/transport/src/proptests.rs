@@ -11,15 +11,18 @@
 //! 3. **Determinism**: a (config, seed) pair fully determines the outcome.
 //! 4. **Ring ≡ map**: the sender's O(1) sent-packet ring answers every
 //!    remove and drain exactly as the ordered map it replaced.
+//! 5. **Integer ≡ float**: the integer RTO equals the `f64` formula it
+//!    replaced, and the receiver's in-order fast path answers as a plain
+//!    set of seen sequence numbers.
 
 #![cfg(test)]
 
-use crate::flow::{SentInfo, SentRing};
+use crate::flow::{rto_duration, SentInfo, SentRing, SeqTracker};
 use crate::{build_simple_flow, FiniteSource, UnlimitedSource};
 use proptest::prelude::*;
 use prudentia_cc::CcaKind;
 use prudentia_sim::{BottleneckConfig, Engine, PathSpec, ServiceId, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn cca_strategy() -> impl Strategy<Value = CcaKind> {
     prop_oneof![
@@ -242,5 +245,50 @@ proptest! {
         prop_assert_eq!(drain_ring(&mut ring, u64::MAX), model.drain_through(u64::MAX));
         prop_assert!(ring.is_empty());
         prop_assert_eq!(ring.slots(), 0);
+    }
+
+    #[test]
+    fn integer_rto_equals_the_float_formula(
+        srtt in 0u64..=(1 << 50),
+        rttvar in 0u64..=(1 << 50),
+        small in 0u64..1_000_000_000,
+        sampled in any::<bool>(),
+    ) {
+        // The formula as it was: 4·rttvar and the 2^backoff factor as
+        // `f64` products rounded back to nanoseconds.
+        let float = |srtt: Option<u64>, rttvar: u64, backoff: u32| {
+            let base = match srtt {
+                Some(s) => s.saturating_add((rttvar as f64 * 4.0).round() as u64),
+                None => 1_000_000_000,
+            };
+            let factor = f64::from(1u32 << backoff.min(6));
+            SimDuration::from_nanos(((base as f64 * factor).round() as u64).max(200_000_000))
+        };
+        for (s, v) in [(srtt, rttvar), (small, small / 3), (srtt, small)] {
+            let s = sampled.then_some(s);
+            for backoff in 0..=8 {
+                let int = rto_duration(s.map(SimDuration::from_nanos), SimDuration::from_nanos(v), backoff);
+                prop_assert_eq!(int, float(s, v, backoff), "srtt {:?} rttvar {} backoff {}", s, v, backoff);
+            }
+        }
+    }
+
+    #[test]
+    fn seq_tracker_answers_as_a_set(
+        seqs in proptest::collection::vec((0u64..64, 0u8..4), 1..300),
+    ) {
+        // Mostly in order (the fast path), with gaps, reordering and
+        // duplicates mixed in.
+        let mut tracker = SeqTracker::default();
+        let mut seen = BTreeSet::new();
+        let mut next = 0u64;
+        for &(jump, kind) in &seqs {
+            let seq = match kind {
+                0 | 1 => { next += 1; next - 1 }
+                2 => next + jump % 8,
+                _ => next.saturating_sub(jump % 8),
+            };
+            prop_assert_eq!(tracker.insert(seq), seen.insert(seq), "seq {}", seq);
+        }
     }
 }
